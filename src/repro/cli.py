@@ -35,6 +35,12 @@ from .arch import PAPER_TECH, floorplan_ascii, simulate_network_analytic, tops_p
 from .core import PCNNConfig, PCNNPruner, pcnn_compression
 from .core.deploy import bundle_from_pruner
 from .models import MODEL_REGISTRY, create_model, model_input_shape, profile_model
+from .runtime.blas import (
+    blas_info,
+    serve_on_one_blas_thread,
+    set_blas_threads,
+    thread_env_pinned,
+)
 from .utils.timing import Timer
 
 __all__ = ["main"]
@@ -281,8 +287,6 @@ def build_model_server(args):
 
 
 def cmd_serve(args) -> int:
-    from .serving import ServingHTTPServer
-
     if args.list_models:
         from .models import registered_models
 
@@ -333,6 +337,33 @@ def cmd_serve(args) -> int:
     except (KeyError, ValueError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    # Build and warm-up ran on the BLAS defaults; serving runs on one
+    # BLAS thread (docs/SERVING.md). Restored on every exit path, since
+    # the command also runs in-process (tests, embedders calling main).
+    blas_restore = serve_on_one_blas_thread()
+    try:
+        return _run_server(args, server, served, blas_restore)
+    finally:
+        if blas_restore is not None:
+            set_blas_threads(blas_restore)
+
+
+def _describe_blas(blas_restore: Optional[int]) -> str:
+    info = blas_info()
+    if info["library"] is None:
+        return "unmanaged"
+    threads = info["threads"]
+    text = f"{info['library']}, {threads} thread{'s' if threads != 1 else ''}"
+    if blas_restore is not None:
+        return f"{text} (serving rule; was {blas_restore})"
+    if thread_env_pinned():
+        return f"{text} (set by the environment)"
+    return text
+
+
+def _run_server(args, server, served, blas_restore) -> int:
+    from .serving import ServingHTTPServer
+
     server.start()
     try:
         httpd = ServingHTTPServer(server, args.host, args.port)
@@ -401,6 +432,7 @@ def cmd_serve(args) -> int:
             f"  streaming: binary protocol on {args.host}:{stream_server.port} "
             f"(delta cache L-inf <= {stream_server.delta_threshold:g})"
         )
+    print(f"  blas: {_describe_blas(blas_restore)}")
     print(
         "  POST /predict /models | DELETE /models/<name> | "
         "GET /stats /metrics /incidents /workers /models /healthz   "

@@ -45,6 +45,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .blas import serve_on_one_blas_thread
 from .shm import (
     KIND_CONTROL,
     KIND_ERROR,
@@ -158,6 +159,9 @@ def _worker_main(
     # a worker ever performs agrees with the router's cache entries
     # instead of re-probing under a different affinity view.
     os.environ["REPRO_TUNE_CPUS"] = str(cpus)
+    # Each worker is one core's worth of serving: the pool, not BLAS,
+    # supplies the parallelism (docs/SERVING.md, "Threads vs. processes").
+    serve_on_one_blas_thread()
 
     segment = attach_segment(segment_name)
     request_ring, response_ring, stats_offset = _pool_layout(

@@ -30,7 +30,9 @@ Routes
   bytes, fair-share weight and demotion/promotion/eviction counters.
 - ``GET /healthz`` — liveness probe; reports ``degraded`` when any
   pool exhausted its restart budget (still HTTP 200 — degraded serving
-  answers requests through the in-process fallback).
+  answers requests through the in-process fallback), plus the BLAS
+  library and thread count this process runs on (``null`` both when
+  unmanaged, see :mod:`repro.runtime.blas`).
 
 Error contract
 --------------
@@ -63,6 +65,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..runtime.blas import blas_info
 from .errors import classify_error
 from .metrics import CONTENT_TYPE as METRICS_CONTENT_TYPE
 from .metrics import render_metrics
@@ -156,6 +159,7 @@ class _Handler(BaseHTTPRequestHandler):
             payload = {
                 "status": "degraded" if degraded else "ok",
                 "models": sorted(model_server.models),
+                "blas": blas_info(),
             }
             if degraded:
                 payload["degraded"] = degraded

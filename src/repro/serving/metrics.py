@@ -26,6 +26,8 @@ from __future__ import annotations
 import math
 from typing import List
 
+from ..runtime.blas import blas_info
+
 __all__ = ["render_metrics", "CONTENT_TYPE"]
 
 #: Content-Type of the exposition (text format, version 0.0.4).
@@ -73,7 +75,8 @@ def render_metrics(model_server) -> str:
 
     One pass over the served models (request/batch/shed/latency
     counters, queue depth) plus the supervisor's healing state
-    (restarts, crashes, wedges, degraded flags, per-worker liveness).
+    (restarts, crashes, wedges, degraded flags, per-worker liveness)
+    and the serving process's BLAS thread count.
     """
     models = dict(model_server.models)
     supervisor = getattr(model_server, "supervisor", None)
@@ -347,5 +350,14 @@ def render_metrics(model_server) -> str:
                     "repro_worker_heartbeat_age_seconds", labels,
                     row["heartbeat_age_s"],
                 )
+
+    # -- process families ----------------------------------------------
+    blas = blas_info()
+    w.family(
+        "repro_blas_threads", "gauge",
+        "BLAS threads of the serving process (no sample when unmanaged).",
+    )
+    if blas["threads"] is not None:
+        w.sample("repro_blas_threads", {"library": blas["library"]}, blas["threads"])
 
     return w.render()

@@ -23,6 +23,7 @@ from repro.runtime.compile import (
 )
 from repro.runtime.ir import Graph, GraphError, TensorMeta
 from repro.runtime.passes import PASS_REGISTRY, CompileContext, PassManager
+from repro.runtime.winograd import F32_REL_TOL
 from repro.models import resnet18_cifar
 
 
@@ -300,7 +301,10 @@ class TestResNetResidualPipeline:
         model = resnet18_cifar(rng=np.random.default_rng(4))
         x = np.random.default_rng(5).normal(size=(2, 3, 32, 32))
         reference = runtime.predict(model, x)
-        np.testing.assert_allclose(compiled(x), reference, rtol=1e-4, atol=1e-5)
+        # The float32 error contract (docs/KERNELS.md): scale-relative,
+        # so it holds on any BLAS thread count.
+        error = np.abs(compiled(x) - reference).max()
+        assert error <= F32_REL_TOL * np.abs(reference).max()
 
     def test_halos_link_inside_residual_bodies(self, compiled):
         block = next(op for op in compiled.ops if isinstance(op, ResidualOp))

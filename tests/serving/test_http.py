@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro import runtime
+from repro.runtime.blas import blas_info
 from repro.serving import ModelServer, serve_http
 
 
@@ -45,7 +46,35 @@ class TestRoutes:
         _, _, url = stack
         status, body = get_json(url + "/healthz")
         assert status == 200
-        assert body == {"status": "ok", "models": ["patternnet"]}
+        assert body == {
+            "status": "ok", "models": ["patternnet"], "blas": blas_info(),
+        }
+
+    def test_metrics_report_blas_threads(self, stack):
+        _, _, url = stack
+        info = blas_info()
+        with urllib.request.urlopen(url + "/metrics", timeout=30) as response:
+            text = response.read().decode()
+        assert "# TYPE repro_blas_threads gauge" in text
+        if info["threads"] is None:
+            assert "\nrepro_blas_threads{" not in text
+        else:
+            assert (
+                f'repro_blas_threads{{library="{info["library"]}"}} '
+                f'{info["threads"]}\n'
+            ) in text
+
+    def test_unmanaged_blas_reports_nulls_and_no_sample(self, stack, monkeypatch):
+        from repro.runtime import blas
+
+        _, _, url = stack
+        monkeypatch.setattr(blas, "_controls", lambda: None)
+        _, body = get_json(url + "/healthz")
+        assert body["blas"] == {"library": None, "threads": None}
+        with urllib.request.urlopen(url + "/metrics", timeout=30) as response:
+            text = response.read().decode()
+        assert "# TYPE repro_blas_threads gauge" in text
+        assert "\nrepro_blas_threads{" not in text
 
     def test_models_listing(self, stack):
         _, served, url = stack
