@@ -35,12 +35,7 @@ from .arch import PAPER_TECH, floorplan_ascii, simulate_network_analytic, tops_p
 from .core import PCNNConfig, PCNNPruner, pcnn_compression
 from .core.deploy import bundle_from_pruner
 from .models import MODEL_REGISTRY, create_model, model_input_shape, profile_model
-from .runtime.blas import (
-    blas_info,
-    serve_on_one_blas_thread,
-    set_blas_threads,
-    thread_env_pinned,
-)
+from .runtime.blas import blas_info, release_blas_thread, serve_on_one_blas_thread
 from .utils.timing import Timer
 
 __all__ = ["main"]
@@ -337,31 +332,26 @@ def cmd_serve(args) -> int:
     except (KeyError, ValueError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    # Build and warm-up ran on the BLAS defaults; serving runs on one
-    # BLAS thread (docs/SERVING.md). Restored on every exit path, since
-    # the command also runs in-process (tests, embedders calling main).
-    blas_restore = serve_on_one_blas_thread()
+    # Serving runs on one BLAS thread (docs/SERVING.md); build and
+    # warm-up came before. Released on every exit path, since the
+    # command also runs in-process (tests, embedders calling main).
+    held = serve_on_one_blas_thread()
     try:
-        return _run_server(args, server, served, blas_restore)
+        return _run_server(args, server, served)
     finally:
-        if blas_restore is not None:
-            set_blas_threads(blas_restore)
+        if held:
+            release_blas_thread()
 
 
-def _describe_blas(blas_restore: Optional[int]) -> str:
+def _describe_blas() -> str:
     info = blas_info()
     if info["library"] is None:
         return "unmanaged"
     threads = info["threads"]
-    text = f"{info['library']}, {threads} thread{'s' if threads != 1 else ''}"
-    if blas_restore is not None:
-        return f"{text} (serving rule; was {blas_restore})"
-    if thread_env_pinned():
-        return f"{text} (set by the environment)"
-    return text
+    return f"{info['library']}, {threads} thread{'s' if threads != 1 else ''}"
 
 
-def _run_server(args, server, served, blas_restore) -> int:
+def _run_server(args, server, served) -> int:
     from .serving import ServingHTTPServer
 
     server.start()
@@ -432,7 +422,7 @@ def _run_server(args, server, served, blas_restore) -> int:
             f"  streaming: binary protocol on {args.host}:{stream_server.port} "
             f"(delta cache L-inf <= {stream_server.delta_threshold:g})"
         )
-    print(f"  blas: {_describe_blas(blas_restore)}")
+    print(f"  blas: {_describe_blas()}")
     print(
         "  POST /predict /models | DELETE /models/<name> | "
         "GET /stats /metrics /incidents /workers /models /healthz   "

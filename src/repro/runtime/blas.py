@@ -15,19 +15,28 @@ Accelerate, a non-Linux host, a stripped build — is *unmanaged*:
 :func:`blas_threads` and :func:`set_blas_threads` return ``None`` and
 change nothing.
 
-:func:`serve_on_one_blas_thread` is the serving rule: processes owned
-by the serving layer (``repro.cli serve``, each worker-pool process)
-run BLAS on one thread, because their parallelism comes from the
-serving layer (``--workers``, ``--worker-procs``, the transports) —
-unless the operator set one of :data:`THREAD_ENV_VARS`, which always
-wins. Library callers of ``CompiledModel``/``predict`` keep the BLAS
-defaults.
+The serving rule (:func:`serve_on_one_blas_thread`): processes owned by
+the serving layer (``repro.cli serve``, each worker-pool process) run
+BLAS on one thread, because their parallelism comes from the serving
+layer (``--workers``, ``--worker-procs``, the transports) — unless the
+operator set one of :data:`THREAD_ENV_VARS`, which then wins. Library
+callers of ``CompiledModel``/``predict`` keep the BLAS defaults.
+
+The fork rule (:func:`hold_one_blas_thread`): a process that forks while
+another of its threads runs a multithreaded OpenBLAS GEMM can hang that
+GEMM for good, because OpenBLAS's fork handler shuts its thread pool
+down under the running call. A worker pool forks at start and at every
+respawn, so its owner holds BLAS on one thread while the pool lives,
+whatever the environment says. On one thread a GEMM never touches
+OpenBLAS's thread pool, so the fork has nothing to stop
+(``docs/SERVING.md``).
 """
 from __future__ import annotations
 
 import ctypes
 import functools
 import os
+import threading
 from typing import Optional, Tuple
 
 import numpy  # noqa: F401 - loads the BLAS library this module controls
@@ -36,9 +45,11 @@ __all__ = [
     "THREAD_ENV_VARS",
     "blas_info",
     "blas_threads",
+    "hold_one_blas_thread",
+    "release_blas_thread",
     "serve_on_one_blas_thread",
+    "serving_blas_threads",
     "set_blas_threads",
-    "thread_env_pinned",
 ]
 
 #: Environment variables through which an operator sizes the BLAS
@@ -103,33 +114,72 @@ def blas_threads() -> Optional[int]:
 def set_blas_threads(n: int) -> Optional[int]:
     """Run BLAS on ``n`` threads; return the previous count.
 
-    Returns ``None`` (and changes nothing) when unmanaged. ``n < 1`` is
-    a caller bug and raises ``ValueError``.
+    Returns ``None`` and changes nothing when unmanaged or ``n < 1``.
     """
-    if n < 1:
-        raise ValueError(f"BLAS thread count must be >= 1, got {n}")
     controls = _controls()
-    if controls is None:
+    if controls is None or n < 1:
         return None
     previous = int(controls[1]())
     controls[2](int(n))
     return previous
 
 
-def thread_env_pinned() -> bool:
-    """True when the operator sized BLAS through :data:`THREAD_ENV_VARS`."""
+_hold_lock = threading.Lock()
+_holds = 0
+_unheld: Optional[int] = None  # count to restore when the last hold ends
+
+
+def hold_one_blas_thread() -> Optional[int]:
+    """Run BLAS on one thread until the matching :func:`release_blas_thread`.
+
+    Holds nest: a ``serve`` router and each worker pool it owns take one
+    each, in any order. Returns the count BLAS ran on before the first
+    hold, which the last release restores (``None`` when unmanaged).
+    """
+    global _holds, _unheld
+    with _hold_lock:
+        if _holds == 0:
+            _unheld = set_blas_threads(1)
+        _holds += 1
+        return _unheld
+
+
+def release_blas_thread() -> None:
+    """End one :func:`hold_one_blas_thread`."""
+    global _holds
+    with _hold_lock:
+        if _holds == 0:
+            return
+        _holds -= 1
+        if _holds == 0 and _unheld is not None:
+            set_blas_threads(_unheld)
+
+
+def _thread_env_pinned() -> bool:
     return any(os.environ.get(var) for var in THREAD_ENV_VARS)
 
 
-def serve_on_one_blas_thread() -> Optional[int]:
-    """Apply the serving rule; return the count to restore, if changed.
+def serving_blas_threads(unheld: Optional[int]) -> Optional[int]:
+    """BLAS threads for a serving process whose environment gives ``unheld``.
 
-    ``None`` means nothing changed: BLAS is unmanaged or the operator
-    pinned it through the environment.
+    One, unless the operator pinned the count through
+    :data:`THREAD_ENV_VARS`; ``None`` when unmanaged.
     """
-    if thread_env_pinned():
-        return None
-    return set_blas_threads(1)
+    if unheld is None or _thread_env_pinned():
+        return unheld
+    return 1
+
+
+def serve_on_one_blas_thread() -> bool:
+    """Apply the serving rule to this process.
+
+    True when it took a hold (end it with :func:`release_blas_thread`);
+    False when the operator pinned BLAS through the environment.
+    """
+    if _thread_env_pinned():
+        return False
+    hold_one_blas_thread()
+    return True
 
 
 def blas_info() -> dict:

@@ -25,7 +25,10 @@ Lifecycle discipline: the creating process owns both shared segments
 (image + rings) and unlinks them in :meth:`shutdown`; a
 ``weakref.finalize`` backstop unlinks on interpreter exit, so neither a
 forgotten ``shutdown()`` nor a crashed worker leaks ``/dev/shm``
-entries.
+entries. The creating process also runs BLAS on one thread from
+construction to :meth:`shutdown` (the fork rule of
+:mod:`repro.runtime.blas`): it forks at every respawn, and a fork can
+hang a multithreaded OpenBLAS GEMM running on another of its threads.
 """
 
 from __future__ import annotations
@@ -45,7 +48,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .blas import serve_on_one_blas_thread
+from .blas import (
+    blas_threads,
+    hold_one_blas_thread,
+    release_blas_thread,
+    serving_blas_threads,
+    set_blas_threads,
+)
 from .shm import (
     KIND_CONTROL,
     KIND_ERROR,
@@ -151,6 +160,7 @@ def _worker_main(
     doorbell,
     response_doorbell,
     parent_pid: int,
+    worker_blas_threads: Optional[int],
 ) -> None:
     # The router handles Ctrl-C for the whole tree; workers exit via the
     # STOP record (or by noticing the router is gone).
@@ -161,7 +171,9 @@ def _worker_main(
     os.environ["REPRO_TUNE_CPUS"] = str(cpus)
     # Each worker is one core's worth of serving: the pool, not BLAS,
     # supplies the parallelism (docs/SERVING.md, "Threads vs. processes").
-    serve_on_one_blas_thread()
+    # Set explicitly: a forked worker inherits the owner's held count.
+    if worker_blas_threads is not None:
+        set_blas_threads(worker_blas_threads)
 
     segment = attach_segment(segment_name)
     request_ring, response_ring, stats_offset = _pool_layout(
@@ -178,6 +190,7 @@ def _worker_main(
         "worker": worker_id,
         "pid": os.getpid(),
         "attach": image.attach_stats.snapshot(),
+        "blas_threads": blas_threads(),
     }
     response_ring.write(KIND_CONTROL, [pickle.dumps(ready)], timeout=30.0)
     response_doorbell.release()
@@ -264,8 +277,9 @@ def _pool_layout(
     return request_ring, response_ring, stats_offset
 
 
-def _cleanup_segments(names: Sequence[str]) -> None:
-    """Finalizer: unlink any pool segments the owner never shut down."""
+def _release_pool(names: Sequence[str]) -> None:
+    """Finalizer: unlink any pool segments the owner never shut down and
+    end the pool's BLAS hold."""
     from multiprocessing import shared_memory
 
     for name in names:
@@ -274,6 +288,7 @@ def _cleanup_segments(names: Sequence[str]) -> None:
         except FileNotFoundError:
             continue
         destroy_segment(leaked)
+    release_blas_thread()
 
 
 class WorkerPool:
@@ -347,6 +362,10 @@ class WorkerPool:
         self._response_doorbell = ctx.Semaphore(0)
         cpus = effective_cpu_count()
         self._cpus = cpus
+        # The fork rule (repro.runtime.blas): this process forks workers
+        # now and on every respawn, so it runs BLAS on one thread until
+        # shutdown; the workers run the serving rule's count.
+        self._worker_blas_threads = serving_blas_threads(hold_one_blas_thread())
 
         self._workers: List[_WorkerHandle] = []
         try:
@@ -370,12 +389,13 @@ class WorkerPool:
             destroy_segment(self._segment)
             self.image.close()
             self.image.unlink()
+            release_blas_thread()
             raise
 
         # Unlink-on-exit backstop; shutdown() detaches it after doing
         # the same work deliberately.
         self._finalizer = weakref.finalize(
-            self, _cleanup_segments, (self._segment.name, self.image.name)
+            self, _release_pool, (self._segment.name, self.image.name)
         )
         self._collector_stop = False
         self._collector = threading.Thread(
@@ -397,6 +417,7 @@ class WorkerPool:
                 doorbell,
                 self._response_doorbell,
                 os.getpid(),
+                self._worker_blas_threads,
             ),
             name=f"repro-worker-{worker_id}",
             daemon=True,
@@ -584,7 +605,8 @@ class WorkerPool:
         ``process_alive`` stays true — the signal :class:`~repro.serving.supervisor.Supervisor`
         uses to kill and resurrect it. ``alive`` is the *dispatch* flag:
         False once a crash was observed (or the worker was retired),
-        which is the supervisor's cue to respawn.
+        which is the supervisor's cue to respawn. ``blas_threads`` is
+        the BLAS thread count the worker reported when it started.
         """
         health: Dict[int, dict] = {}
         now_ns = time.monotonic_ns()
@@ -610,6 +632,7 @@ class WorkerPool:
                 "exitcode": worker.process.exitcode,
                 "outstanding": outstanding[worker_id],
                 "heartbeat_age_s": heartbeat_age,
+                "blas_threads": worker.attach.get("blas_threads"),
             }
         return health
 
@@ -967,6 +990,7 @@ class WorkerPool:
         destroy_segment(self._segment)
         self.image.close()
         self.image.unlink()
+        release_blas_thread()
         finalizer = getattr(self, "_finalizer", None)
         if finalizer is not None:
             finalizer.detach()

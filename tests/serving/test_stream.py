@@ -388,10 +388,6 @@ class TestChaosMidStream:
             frames = rng.standard_normal((48, *SHAPE))
             victim_slot = int(rng.integers(0, 2))
             victim = served.pool.worker_health()[victim_slot]["pid"]
-            # Reference first, as in test_chaos: a multithreaded BLAS GEMM
-            # in this process while the supervisor forks the replacement
-            # worker can deadlock in OpenBLAS's fork handler.
-            want = runtime.predict(served.compiled, frames)
             with StreamClient("127.0.0.1", stream_server.port, timeout=120) as client:
                 futures = []
                 for i, frame in enumerate(frames):
@@ -399,6 +395,7 @@ class TestChaosMidStream:
                     if i == len(frames) // 2:
                         os.kill(victim, signal.SIGKILL)
                 outputs = [f.result(timeout=120) for f in futures]
+            want = runtime.predict(served.compiled, frames)
             np.testing.assert_allclose(
                 np.stack(outputs), want, atol=1e-5, rtol=1e-5
             )
