@@ -327,16 +327,17 @@ def cmd_serve(args) -> int:
     if args.stream_delta is not None and args.stream_port is None:
         print("error: --stream-delta requires --stream-port", file=sys.stderr)
         return 2
-    try:
-        server, served = build_model_server(args)
-    except (KeyError, ValueError, OSError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    # Serving runs on one BLAS thread (docs/SERVING.md); build and
-    # warm-up came before. Released on every exit path, since the
-    # command also runs in-process (tests, embedders calling main).
+    # Serving runs on one BLAS thread (docs/SERVING.md), build and
+    # warm-up included, so warm-up records the traces the server
+    # replays. Released on every exit path, since the command also runs
+    # in-process (tests, embedders calling main).
     held = serve_on_one_blas_thread()
     try:
+        try:
+            server, served = build_model_server(args)
+        except (KeyError, ValueError, OSError) as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
         return _run_server(args, server, served)
     finally:
         if held:

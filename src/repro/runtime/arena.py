@@ -13,9 +13,10 @@ then every call only overwrites the interior region — the border stays
 zero forever without a per-call ``np.pad``.
 
 Arenas are deliberately **not** thread-safe: concurrent micro-batches
-(``predict(..., workers=N)``) each run on their own thread-local arena
-(see :class:`repro.runtime.compile.CompiledModel`), which also keeps
-buffer reuse free of cross-request aliasing.
+(``predict(..., workers=N)``) each run on their own thread-local arena,
+and the shards of a sharded call each on their shard's arena (see
+:class:`repro.runtime.compile.CompiledModel`), which also keeps buffer
+reuse free of cross-request aliasing.
 """
 
 from __future__ import annotations

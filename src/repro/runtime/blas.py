@@ -20,7 +20,12 @@ the serving layer (``repro.cli serve``, each worker-pool process) run
 BLAS on one thread, because their parallelism comes from the serving
 layer (``--workers``, ``--worker-procs``, the transports) — unless the
 operator set one of :data:`THREAD_ENV_VARS`, which then wins. Library
-callers of ``CompiledModel``/``predict`` keep the BLAS defaults.
+callers of ``CompiledModel``/``predict`` keep the BLAS defaults, and a
+``CompiledModel`` call turns a default of T > 1 threads into T shards of
+its batch, each on one BLAS thread: it holds one thread for the call
+and runs the shards side by side (``docs/KERNELS.md``, "Sharded
+calls"). ``predict(workers=N>1)`` holds one thread while its fan-out
+runs, so its chunks never shard.
 
 The fork rule (:func:`hold_one_blas_thread`): a process that forks while
 another of its threads runs a multithreaded OpenBLAS GEMM can hang that

@@ -26,8 +26,9 @@ per-pass detail):
 - **Channels-last layout** — activations flow NHWC between ops; the
   conv GEMM's output *is* the next layer's channels-last activation.
 - **Workspace arenas** — each op draws scratch buffers from a
-  per-thread :class:`~repro.runtime.arena.Arena`, so the steady-state
-  loop does zero large allocations.
+  per-thread (or, in a sharded call, per-shard)
+  :class:`~repro.runtime.arena.Arena`, so the steady-state loop does
+  zero large allocations.
 - **Halo linking** — producers write activations straight into the
   consumer's padded-buffer interior, skipping the pad copy.
 - **Per-layer schedules** — SPM convs gather natively from pattern
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -56,6 +58,7 @@ import numpy as np
 
 from .. import nn
 from ..nn.functional import im2col_nhwc, pool_windows_nhwc
+from . import blas
 from .arena import Arena
 from .backends import Epilogue
 from .engine import dispatch
@@ -76,6 +79,18 @@ __all__ = ["compile_model", "CompiledModel", "fold_batchnorm"]
 # this budget per layer (still batch-adaptive: rows are derived from the
 # budget at each call's geometry).
 SLAB_BYTES = 64 * 2**20
+
+# Dense conv MACs (``models/flops.py`` accounting) every shard of a
+# sharded call must do at least. Measured, not tuned per host: below
+# it, dispatching shards to the crew costs more than the second core
+# returns (docs/KERNELS.md, "Sharded calls").
+SHARD_FLOOR_MACS = 4 * 10**6
+
+# Images every shard gets at least. A one-image shard turns the deepest
+# layers' GEMMs into GEMVs, which stream the whole weight operand once
+# per shard (VGG-16 gains 13% at batch 2, against 27% at batch 4) and
+# round differently from the same image inside a batch.
+SHARD_MIN_IMAGES = 2
 
 
 def trace_enabled() -> bool:
@@ -178,6 +193,43 @@ class _ExecState:
     # Thunks prebind arena buffers and GEMM operands, so the dict must be
     # cleared whenever either is released (see CompiledModel.release_*).
     traces: Dict[tuple, list] = field(default_factory=dict)
+
+
+class _Crew:
+    """The threads a process runs the shards of a sharded call on.
+
+    Slot ``k`` is a one-thread executor, so shard ``k + 1`` always runs
+    on the same thread (shard 0 runs on the caller). ``lock`` admits one
+    sharded call at a time; callers that find it taken run unsharded.
+    """
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self._slots: List[ThreadPoolExecutor] = []
+
+    def slot(self, k: int) -> ThreadPoolExecutor:
+        """Executor of crew thread ``k``, started on first use (hold ``lock``)."""
+        while len(self._slots) <= k:
+            self._slots.append(
+                ThreadPoolExecutor(
+                    max_workers=1,
+                    thread_name_prefix=f"repro-shard-{len(self._slots) + 1}",
+                )
+            )
+        return self._slots[k]
+
+
+# One crew per process, keyed by pid: threads do not survive fork, so a
+# forked child builds its own crew instead of queueing on dead threads.
+_crews: Dict[int, _Crew] = {}
+
+
+def _process_crew() -> _Crew:
+    pid = os.getpid()
+    crew = _crews.get(pid)
+    if crew is None:
+        crew = _crews.setdefault(pid, _Crew())
+    return crew
 
 
 class _InferenceOp:
@@ -344,10 +396,24 @@ class ConvOp(_InferenceOp):
     _decoded_t: Optional[np.ndarray] = field(default=None, repr=False)
     _wino_u: Optional[np.ndarray] = field(default=None, repr=False)
     _prepared: bool = field(default=False, repr=False)
+    # Serialises building the derived operands, so two concurrent first
+    # calls share one memo instead of each recording its own copy.
+    _derive_lock: threading.RLock = field(
+        default_factory=threading.RLock, repr=False, compare=False
+    )
 
     layout_in = "nhwc"
     layout_out = "nhwc"
     spatial_only = True
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["_derive_lock"]  # locks do not pickle (shared model images)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._derive_lock = threading.RLock()
 
     # -- derived-state lifecycle --------------------------------------
     def prepare(self) -> None:
@@ -358,6 +424,11 @@ class ConvOp(_InferenceOp):
         """
         if self._prepared:
             return
+        with self._derive_lock:
+            if not self._prepared:
+                self._prepare()
+
+    def _prepare(self) -> None:
         dtype = self.dtype
         bias = _cast(self.bias, dtype)
         self.bias_rows = 0
@@ -631,14 +702,15 @@ class ConvOp(_InferenceOp):
     def _wino_operand(self, m: int, dtype) -> np.ndarray:
         """Memoized transformed weights ``U = (G(x)G) W``, ``(f, C_in, C_out)``."""
         f = (m + 2) ** 2
-        u = self._wino_u
-        if u is None or u.shape[0] != f or u.dtype != np.dtype(dtype):
-            k = 9 * self.c_in
-            w9 = np.ascontiguousarray(
-                self._operand_weight_t()[:k]
-            ).reshape(9, self.c_in, self.c_out)
-            self._wino_u = wino_weight_transform(w9, m, dtype)
-        return self._wino_u
+        with self._derive_lock:
+            u = self._wino_u
+            if u is None or u.shape[0] != f or u.dtype != np.dtype(dtype):
+                k = 9 * self.c_in
+                w9 = np.ascontiguousarray(
+                    self._operand_weight_t()[:k]
+                ).reshape(9, self.c_in, self.c_out)
+                self._wino_u = wino_weight_transform(w9, m, dtype)
+            return self._wino_u
 
     def _wino_tile(self, out_hw) -> int:
         """Resolve the effective tile for one geometry (and persist it).
@@ -799,32 +871,34 @@ class ConvOp(_InferenceOp):
 
     # -- forced-backend fallback through the engine -------------------
     def _dense_weight_nchw(self) -> Optional[np.ndarray]:
-        if self._weight_nchw is None and self.weight_t is not None:
-            kh, kw = self.kernel
-            k = kh * kw * self.c_in
-            self._weight_nchw = np.ascontiguousarray(
-                self.weight_t[:k].T.reshape(self.c_out, kh, kw, self.c_in).transpose(
-                    0, 3, 1, 2
+        with self._derive_lock:
+            if self._weight_nchw is None and self.weight_t is not None:
+                kh, kw = self.kernel
+                k = kh * kw * self.c_in
+                self._weight_nchw = np.ascontiguousarray(
+                    self.weight_t[:k]
+                    .T.reshape(self.c_out, kh, kw, self.c_in)
+                    .transpose(0, 3, 1, 2)
                 )
-            )
-        return self._weight_nchw
+            return self._weight_nchw
 
     def _decoded_weight_t(self) -> np.ndarray:
         """Memoized NHWC GEMM weight decoded from an SPM encoding (bias
         row appended when the layer carries one, as for dense)."""
-        if self._decoded_t is None:
-            decoded = (
-                self.encoded.decoded_weight()
-                .transpose(0, 2, 3, 1)
-                .reshape(self.c_out, -1)
-                .T
-            )
-            if self.bias_rows:
-                decoded = np.vstack(
-                    [decoded, self.epilogue.bias.astype(decoded.dtype)[None, :]]
+        with self._derive_lock:
+            if self._decoded_t is None:
+                decoded = (
+                    self.encoded.decoded_weight()
+                    .transpose(0, 2, 3, 1)
+                    .reshape(self.c_out, -1)
+                    .T
                 )
-            self._decoded_t = np.ascontiguousarray(decoded)
-        return self._decoded_t
+                if self.bias_rows:
+                    decoded = np.vstack(
+                        [decoded, self.epilogue.bias.astype(decoded.dtype)[None, :]]
+                    )
+                self._decoded_t = np.ascontiguousarray(decoded)
+            return self._decoded_t
 
     def _run_via_engine(self, x, state, override):
         arena = state.arena
@@ -1229,6 +1303,12 @@ class CompiledModel:
     (``predict(..., workers=N)``); the plan cache is shared and
     lock-protected.
 
+    When BLAS runs on T > 1 threads, a call splits its batch into up to
+    T contiguous shards and runs them side by side, each on one BLAS
+    thread (:meth:`shard_count` has the rule). Shard ``k`` always uses
+    the model's ``k``-th shard state (arena plus traces), whichever
+    thread runs it.
+
     ``graph`` holds the pass-transformed IR the op list was linearised
     from, ``passes`` the :class:`~repro.runtime.passes.PassRecord` trace
     of what each pass did, ``quantization``/``tuning`` the optional
@@ -1266,6 +1346,10 @@ class CompiledModel:
         # only appends once per thread.
         self._states: List[_ExecState] = []
         self._states_lock = threading.Lock()
+        # States of sharded calls, indexed by shard; also in _states.
+        self._shards: List[_ExecState] = []
+        # Input tail -> dense conv MACs per image (None: not derivable).
+        self._image_macs: dict = {}
         # Observed (input tail, input dtype) -> (output tail, output
         # dtype), recorded by __call__ and served by output_geometry()
         # so empty-batch calls never need a probe forward.
@@ -1280,6 +1364,15 @@ class CompiledModel:
             with self._states_lock:
                 self._states.append(state)
         return state
+
+    def _shard_states(self, count: int) -> List[_ExecState]:
+        """The first ``count`` shard states, created on demand."""
+        with self._states_lock:
+            while len(self._shards) < count:
+                state = _ExecState(arena=Arena(), plans=self.plans)
+                self._shards.append(state)
+                self._states.append(state)
+            return self._shards[:count]
 
     @property
     def arena(self) -> Arena:
@@ -1305,7 +1398,8 @@ class CompiledModel:
         ``parameters`` (weights/codes — survives demotion and eviction),
         ``derived`` (rebuildable GEMM operands and memoized gathers),
         ``plans`` (plan-cache workspace charge) and ``arenas`` (scratch
-        buffers across every thread that has executed the model).
+        buffers across every thread and shard that has executed the
+        model), plus the ``threads`` and ``shards`` state counts.
         """
         parameters = 0
         derived = 0
@@ -1314,12 +1408,14 @@ class CompiledModel:
             derived += op.derived_nbytes()
         with self._states_lock:
             states = list(self._states)
+            shards = len(self._shards)
         return {
             "parameters": parameters,
             "derived": derived,
             "plans": self.plans.nbytes,
             "arenas": sum(state.arena.nbytes for state in states),
-            "threads": len(states),
+            "threads": len(states) - shards,
+            "shards": shards,
         }
 
     def resident_nbytes(self) -> int:
@@ -1382,10 +1478,15 @@ class CompiledModel:
         geometry_key = (x.shape[1:], np.dtype(x.dtype))
         if self.dtype is not None and x.dtype != self.dtype:
             x = x.astype(self.dtype)
-        state = self._state()
+        out = None
         if backend is None and trace_enabled():
-            out = self._run_traced(x, state)
+            shards = self.shard_count(x.shape)
+            if shards > 1:
+                out = self._run_sharded(x, shards)
+            if out is None:
+                out = self._run_traced(x, self._state())
         else:
+            state = self._state()
             out = x
             for op in self.ops:
                 out = op.run(out, state, backend)
@@ -1395,6 +1496,77 @@ class CompiledModel:
         # next call will overwrite; hand back an owned copy (outputs are
         # head-sized, so this is cheap).
         return np.array(out, copy=True)
+
+    def shard_count(self, shape: Sequence[int]) -> int:
+        """Shards a call on an ``(N, C, H, W)`` batch of ``shape`` splits into.
+
+        One per BLAS thread, as long as every shard does at least
+        :data:`SHARD_FLOOR_MACS` dense conv MACs on at least
+        :data:`SHARD_MIN_IMAGES` images; 1 (no sharding) when
+        BLAS is unmanaged or on one thread — under the serving rule, a
+        worker pool's fork rule or ``predict(workers=N>1)`` — or when
+        the pipeline's MACs cannot be derived (a :class:`ModuleOp`).
+        """
+        threads = blas.blas_threads()
+        if threads is None or threads < 2:
+            return 1
+        images = self._shard_images(tuple(shape[1:]))
+        if images is None:
+            return 1
+        return max(1, min(threads, shape[0] // images))
+
+    def _shard_images(self, tail: tuple) -> Optional[int]:
+        """Fewest images a shard of ``(C, H, W)`` inputs may get (None:
+        the per-image MACs cannot be derived, so calls never shard)."""
+        if tail not in self._image_macs:
+            convs: list = []
+            walked = self._walk_geometry(self.ops, tail, convs)
+            macs = sum(conv.macs for conv in convs)
+            self._image_macs[tail] = macs if walked is not None and macs else None
+        macs = self._image_macs[tail]
+        if macs is None:
+            return None
+        return max(SHARD_MIN_IMAGES, -(-SHARD_FLOOR_MACS // macs))
+
+    def _run_sharded(self, x: np.ndarray, shards: int) -> Optional[np.ndarray]:
+        """Run ``x`` as ``shards`` contiguous shards at once; None when busy.
+
+        Shard 0 runs here, shard ``k`` on crew thread ``k``, each on the
+        model's ``k``-th shard state while this call holds BLAS on one
+        thread. The first call at a geometry records every shard's trace
+        serially on this thread instead (recording doubles as
+        execution), so later calls only ever replay. Returns None
+        without waiting when another sharded call holds the crew.
+        """
+        crew = _process_crew()
+        if not crew.lock.acquire(blocking=False):
+            return None
+        try:
+            states = self._shard_states(shards)
+            parts = np.array_split(x, shards)
+            if any(
+                (part.shape, part.dtype) not in state.traces
+                for part, state in zip(parts, states)
+            ):
+                return np.concatenate(
+                    [self._run_traced(p, state) for p, state in zip(parts, states)]
+                )
+            blas.hold_one_blas_thread()
+            try:
+                futures = [
+                    crew.slot(k - 1).submit(self._run_traced, parts[k], states[k])
+                    for k in range(1, shards)
+                ]
+                try:
+                    outs = [self._run_traced(parts[0], states[0])]
+                finally:
+                    wait(futures)  # shards finish before their states are reused
+                outs.extend(future.result() for future in futures)
+                return np.concatenate(outs)
+            finally:
+                blas.release_blas_thread()
+        finally:
+            crew.lock.release()
 
     def _run_traced(self, x: np.ndarray, state: _ExecState) -> np.ndarray:
         """Steady-state executor: replay the recorded thunk list.
@@ -1479,8 +1651,14 @@ class CompiledModel:
         return entry
 
     @staticmethod
-    def _walk_geometry(ops, tail):
-        """Symbolically push a shape tail through ``ops`` (None = punt)."""
+    def _walk_geometry(ops, tail, convs: Optional[list] = None):
+        """Symbolically push a shape tail through ``ops`` (None = punt).
+
+        With ``convs``, also appends each conv's per-image
+        :class:`~repro.models.flops.ConvProfile`, residual shortcuts
+        included.
+        """
+        from ..models.flops import ConvProfile
         from ..nn.functional import conv_output_size
         from .quant import DequantizeOp, QuantizeOp
 
@@ -1502,6 +1680,21 @@ class CompiledModel:
                 oh = conv_output_size(h, op.kernel[0], op.stride, op.padding)
                 ow = conv_output_size(w, op.kernel[1], op.stride, op.padding)
                 tail = (oh, ow, op.c_out)
+                if convs is not None:
+                    if op.kernel[0] != op.kernel[1]:
+                        return None  # ConvProfile models square kernels
+                    convs.append(
+                        ConvProfile(
+                            name=op.tag,
+                            in_channels=op.c_in,
+                            out_channels=op.c_out,
+                            kernel_size=op.kernel[0],
+                            stride=op.stride,
+                            padding=op.padding,
+                            input_hw=(h, w),
+                            output_hw=(oh, ow),
+                        )
+                    )
             elif isinstance(op, MaxPoolOp):
                 if len(tail) != 3:
                     return None
@@ -1528,7 +1721,11 @@ class CompiledModel:
             elif isinstance(op, LinearOp):
                 tail = (op.weight.shape[0],)
             elif isinstance(op, ResidualOp):
-                tail = CompiledModel._walk_geometry(op.body, tail)
+                if convs is not None and (
+                    CompiledModel._walk_geometry(op.shortcut, tail, convs) is None
+                ):
+                    return None
+                tail = CompiledModel._walk_geometry(op.body, tail, convs)
                 if tail is None:
                     return None
             elif isinstance(op, (BatchNormOp, ReluOp, QuantizeOp, DequantizeOp)):
@@ -1540,7 +1737,7 @@ class CompiledModel:
     def describe(self) -> str:
         """The pass-annotated pipeline: trace, ops, and reports."""
         header = f"CompiledModel({self.source or 'model'}, dtype={self.dtype})"
-        lines = [header, f"  executor: {self.executor_kind()}"]
+        lines = [header, f"  executor: {self.executor_kind()}", self._describe_shards()]
         if self.passes:
             trace = " -> ".join(record.name for record in self.passes)
             lines.append(f"  passes: {trace}")
@@ -1553,6 +1750,27 @@ class CompiledModel:
         if self.quantization is not None:
             lines.append("  quantization: " + self.quantization.describe())
         return "\n".join(lines)
+
+    def _describe_shards(self) -> str:
+        """The ``shards:`` line of :meth:`describe`."""
+        threads = blas.blas_threads()
+        if threads is None or threads < 2:
+            reason = "BLAS unmanaged" if threads is None else "BLAS on one thread"
+            return f"  shards: 1 ({reason})"
+        line = (
+            f"  shards: up to {threads}, one per BLAS thread, "
+            f">= {SHARD_FLOOR_MACS / 1e6:g} M dense conv MACs and "
+            f">= {SHARD_MIN_IMAGES} images each"
+        )
+        for tail in sorted({tail for tail, _ in self._geometry}):
+            images = self._shard_images(tuple(tail))
+            shape = "x".join(map(str, tail))
+            line += (
+                f"; {shape}: never sharded"
+                if images is None
+                else f"; {shape}: from batch {2 * images}"
+            )
+        return line
 
     def __repr__(self) -> str:
         return (

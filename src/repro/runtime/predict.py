@@ -17,7 +17,13 @@ Two throughput levers stack on top:
 - ``workers=N`` fans micro-batches out over a thread pool. The GEMMs
   dominating the compiled path run inside BLAS, which releases the GIL,
   so the chunks genuinely overlap; compiled execution state is
-  thread-local, so one compiled model serves all workers.
+  thread-local, so one compiled model serves all workers. The fan-out
+  holds BLAS on one thread, so each worker's chunk runs on one core
+  instead of every chunk competing for all of them.
+
+Without ``workers`` a compiled model uses the cores itself: each call
+splits its batch into one shard per BLAS thread
+(:meth:`~repro.runtime.compile.CompiledModel.shard_count`).
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from typing import Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from .. import nn
+from .blas import hold_one_blas_thread, release_blas_thread
 from .compile import CompiledModel, compile_model
 
 __all__ = ["PredictStats", "predict", "conv_backend_override"]
@@ -165,9 +172,11 @@ def predict(
     workers:
         Run micro-batches on a thread pool of this size. BLAS releases
         the GIL during the GEMMs that dominate inference, so chunks
-        overlap on real cores. ``None``/``1`` keeps the sequential loop.
-        Pools are created lazily and shared across calls (one per
-        distinct size), so repeated serving loops never pay pool (or
+        overlap on real cores; BLAS runs on one thread while they do,
+        so no chunk shards. ``None``/``1`` keeps the sequential loop,
+        where each compiled call shards its chunk over the BLAS threads
+        instead. Pools are created lazily and shared across calls (one
+        per distinct size), so repeated serving loops never pay pool (or
         thread-local arena) startup per call.
     executor:
         Bring-your-own pool used instead of the shared thread pool — a
@@ -343,7 +352,12 @@ def predict(
             return executor.run_chunks(chunks, chunk_seconds)
         if workers > 1:
             pool = executor if executor is not None else _shared_pool(workers)
-            return list(pool.map(run_chunk, range(len(chunks))))
+            # One BLAS thread per chunk: the workers are the parallelism.
+            hold_one_blas_thread()
+            try:
+                return list(pool.map(run_chunk, range(len(chunks))))
+            finally:
+                release_blas_thread()
         return [run_chunk(i) for i in range(len(chunks))]
 
     start = time.perf_counter()

@@ -628,12 +628,16 @@ class QuantConvOp(ConvOp):
 
     def _multiplier(self, dtype) -> np.ndarray:
         """Per-column scale folding the int32-style accumulator back."""
-        if self._mult_cache is None or self._mult_cache.dtype != dtype:
-            mult = self.w_scale * self.in_scale
-            if self.out_scale is not None:
-                mult = mult / self.out_scale
-            self._mult_cache = mult.astype(dtype)
-        return self._mult_cache
+        mult = self._mult_cache
+        if mult is not None and mult.dtype == dtype:
+            return mult
+        with self._derive_lock:
+            if self._mult_cache is None or self._mult_cache.dtype != dtype:
+                mult = self.w_scale * self.in_scale
+                if self.out_scale is not None:
+                    mult = mult / self.out_scale
+                self._mult_cache = mult.astype(dtype)
+            return self._mult_cache
 
     def _fold_and_clip(self, mat: np.ndarray) -> None:
         """Fold scales in place; clip into code space when requantizing.
@@ -762,6 +766,10 @@ class QuantConvOp(ConvOp):
         against the column buffer's ones column, so bias costs no
         separate pass over the accumulator.
         """
+        with self._derive_lock:
+            return self._build_int8_operands()
+
+    def _build_int8_operands(self) -> Tuple[np.ndarray, List[np.ndarray]]:
         if self._w_q8 is None:
             k = self.kernel[0] * self.kernel[1] * self.c_in
             if self.weight_t is not None:

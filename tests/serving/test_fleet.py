@@ -100,7 +100,12 @@ class TestFlushScheduler:
         """The scheduler's EDF override keys off slo_urgent(): a queued
         request close to its deadline flags urgent, a fresh one does
         not, and a no-SLO tenant never does."""
+        # Registered with a scheduler that never starts: start() arms the
+        # batchers without a flush thread, so the queued request stays
+        # queued while the test reads its deadline.
+        idle = FlushScheduler()
         tight = Batcher(lambda x: x, max_batch=8, max_latency_ms=50.0, slo_ms=100.0)
+        idle.register("tight", tight)
         tight._flush_cost = 0.02  # recent flushes cost ~20 ms
         tight.start()
         tight.submit(np.zeros((2,)))
@@ -112,6 +117,7 @@ class TestFlushScheduler:
         assert tight.slo_urgent(now=deadline - 0.03)
         tight.stop()
         relaxed = Batcher(lambda x: x, max_batch=8, max_latency_ms=50.0)
+        idle.register("relaxed", relaxed)
         relaxed.start()
         relaxed.submit(np.zeros((2,)))
         assert relaxed.oldest_deadline() == float("inf")
