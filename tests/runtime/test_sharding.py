@@ -16,7 +16,7 @@ import pytest
 
 from repro import runtime
 from repro.core import PCNNConfig, PCNNPruner
-from repro.models import patternnet, vgg16_cifar
+from repro.models import patternnet, resnet18_cifar, vgg16_cifar
 from repro.runtime import blas
 from repro.runtime import compile as compile_module
 from repro.runtime.winograd import F32_REL_TOL
@@ -78,10 +78,11 @@ class TestShardRule:
         assert compiled.shard_count((18, 3, 16, 16)) == 3
         assert compiled.shard_count((1000, 3, 16, 16)) == 4
 
-    def test_macs_match_the_flops_profile(self):
+    @pytest.mark.parametrize("make", [vgg16_cifar, resnet18_cifar])
+    def test_macs_match_the_flops_profile(self, make):
         from repro.models import profile_model
 
-        model = vgg16_cifar(rng=np.random.default_rng(1))
+        model = make(rng=np.random.default_rng(1))
         compiled = runtime.compile_model(model)
         convs = []
         compiled._walk_geometry(compiled.ops, (3, 32, 32), convs)
