@@ -88,7 +88,7 @@ SHARD_FLOOR_MACS = 4 * 10**6
 
 # Images every shard gets at least. A one-image shard turns the deepest
 # layers' GEMMs into GEMVs, which stream the whole weight operand once
-# per shard (VGG-16 gains 13% at batch 2, against 27% at batch 4) and
+# per shard (on a 2-core VM, VGG-16 gains 13% at batch 2, 27% at 4) and
 # round differently from the same image inside a batch.
 SHARD_MIN_IMAGES = 2
 
