@@ -274,9 +274,7 @@ def test_concurrent_first_calls_share_the_derived_operands(monkeypatch):
         return transform(*args, **kwargs)
 
     monkeypatch.setattr(compile_module, "wino_weight_transform", slow_transform)
-    for op in compiled.iter_ops():
-        if hasattr(op, "release_derived"):
-            op.release_derived()
+    compiled.release_derived()
     runtime.predict(compiled, images(4, (3, 32, 32)), workers=2)
     states = [state for state in compiled._states if state.traces]
     assert len(states) == 2
